@@ -112,14 +112,16 @@ bench-json:
 torture:
 	$(GO) test -race -count=1 ./internal/torture
 
-# Native fuzzing of the metadata-log decoders: corrupted op entries and
-# per-worker area cursors must be rejected by checksum, never replayed,
-# never panic. Go runs one fuzz target per invocation, so the budget is
-# spent once per decoder. Short budget by default; raise with e.g.
-# `make fuzz FUZZTIME=5m`.
+# Native fuzzing of the untrusted-input decoders: corrupted metadata-log op
+# entries and per-worker area cursors must be rejected by checksum, never
+# replayed, never panic; arbitrary mgspd request bytes must end in a reply
+# or a closed connection, never a panic or a hang. Go runs one fuzz target
+# per invocation, so the budget is spent once per target. Short budget by
+# default; raise with e.g. `make fuzz FUZZTIME=5m`.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeEntry$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='FuzzDecodeCursor$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='FuzzFrame$$' -fuzztime=$(FUZZTIME) ./internal/server
 
 # Coverage over the crash-consistency core. Keep internal/core above ~80%:
 # uncovered lines there are usually recovery/commit paths that only a new

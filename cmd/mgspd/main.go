@@ -43,7 +43,6 @@ func main() {
 	shards := flag.Int("shards", 1, "number of shards (one MGSP file system each)")
 	devSize := flag.Int64("dev-size", 64<<20, "per-shard device size in bytes")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	batchWait := flag.Duration("batch-wait", 0, "group-commit linger (0 = 200µs default)")
 	maxBatch := flag.Int("max-batch", 0, "max writes per group commit (0 = 64 default)")
 	cleanerInterval := flag.Int64("cleaner-interval", 0, "cleaner pass interval in virtual ns (0 = off)")
 	cleanerBudget := flag.Int64("cleaner-budget", 0, "blocks reclaimed per cleaner pass (0 = unbounded)")
@@ -70,7 +69,6 @@ func main() {
 		DevSize:        *devSize,
 		FSOpts:         opts,
 		Seed:           *seed,
-		BatchWait:      *batchWait,
 		MaxBatchOps:    *maxBatch,
 		DelayLogBlocks: *delayLog,
 		ShedLogBlocks:  *shedLog,

@@ -31,9 +31,7 @@ type serveEnv struct {
 func newServeEnv(addr, tenant string) (*serveEnv, error) {
 	env := &serveEnv{addr: addr, tenant: tenant}
 	if addr == "" {
-		srv, err := server.New(server.Config{
-			BatchWait: 500 * time.Microsecond,
-		})
+		srv, err := server.New(server.Config{})
 		if err != nil {
 			return nil, err
 		}
@@ -83,7 +81,7 @@ func (e *serveEnv) close() {
 }
 
 // serveCols are the columns both server experiments report.
-var serveCols = []string{"writes/s", "reads/s", "mean batch", "meta/ack", "shed"}
+var serveCols = []string{"writes/s", "reads/s", "mean batch", "meta/ack", "shed", "queue µs"}
 
 // fillServeStats computes the batching columns from a snapshot delta.
 func fillServeStats(t *Table, row int, before, after *obs.Snapshot) {
@@ -101,6 +99,9 @@ func fillServeStats(t *Table, row int, before, after *obs.Snapshot) {
 		t.Cells[row][3] = meta / acked
 	}
 	t.Cells[row][4] = d.Values["server.shed"]
+	if h, ok := d.Hists["server.queue_wait_ns"]; ok {
+		t.Cells[row][5] = h.Mean / 1e3
+	}
 }
 
 // threadRows picks the client-count axis from the scale.
@@ -127,7 +128,7 @@ func KV(sc Scale, addr string) (*Table, error) {
 	}
 	t := NewTable("serve-kv", "mgspd KV point writes/reads", "ops/s (wall) + batching", serveCols, rows)
 	t.Notes = append(t.Notes,
-		"mean batch = ops per WriteMulti group commit; meta/ack = metadata-log entries per acked write (<1 means the flush is amortized)")
+		"mean batch = ops per WriteMulti group commit; meta/ack = metadata-log entries per acked write (<1 means the flush is amortized); queue µs = mean wall time from enqueue to the start of the write's group commit")
 
 	const slots = 1024
 	const slotSize = 4096

@@ -76,8 +76,8 @@ func (fs *FS) AuditBlocks() AuditReport {
 // the moment its record points at it (even with all valid bits clear — the
 // block is legitimately retained for reuse).
 func auditWalk(n *node, addRun func(off, blocks int64)) {
-	if n.logOff != 0 {
-		addRun(n.logOff, n.span/LeafSpan)
+	if off := n.logOff.Load(); off != 0 {
+		addRun(off, n.span/LeafSpan)
 	}
 	for i := range n.children {
 		if c := n.children[i].Load(); c != nil {

@@ -368,8 +368,8 @@ func (f *file) copyToLog(ctx *sim.Ctx, src *node, lo, hi int64, dst *node) {
 		if n > hi-lo {
 			n = hi - lo
 		}
-		f.fs.dev.Read(ctx, buf[:n], src.logOff+(lo-src.offset()))
-		f.fs.dev.WriteNT(ctx, buf[:n], dst.logOff+(lo-dst.offset()))
+		f.fs.dev.Read(ctx, buf[:n], src.logOff.Load()+(lo-src.offset()))
+		f.fs.dev.WriteNT(ctx, buf[:n], dst.logOff.Load()+(lo-dst.offset()))
 		lo += n
 	}
 }
@@ -434,13 +434,13 @@ func (f *file) gatherReclaim(ctx *sim.Ctx, n *node, exts *[]alloc.Extent) {
 			f.gatherReclaim(ctx, c, exts)
 		}
 	}
-	if n.recIdx >= 0 {
-		f.fs.dir.clear(ctx, n.recIdx)
-		n.recIdx = -1
+	if rec := n.recIdx.Load(); rec >= 0 {
+		f.fs.dir.clear(ctx, rec)
+		n.recIdx.Store(-1)
 	}
-	if n.logOff != 0 {
-		*exts = append(*exts, alloc.Extent{Off: n.logOff, N: n.span / LeafSpan})
-		n.logOff = 0
+	if off := n.logOff.Load(); off != 0 {
+		*exts = append(*exts, alloc.Extent{Off: off, N: n.span / LeafSpan})
+		n.logOff.Store(0)
 	}
 	n.word.Store(0)
 	n.stale.Store(false)

@@ -381,3 +381,34 @@ func TestRemoveReclaims(t *testing.T) {
 		t.Fatalf("%d blocks leaked after remove", used)
 	}
 }
+
+// TestFailedWriteReleasesLogEntry: a write that fails while planning (here
+// out of log space) must hand back its metadata-log entry. Each leaked claim
+// shrinks the log for good, and once every entry leaks, the next claim
+// spins forever — every later write on the FS hangs.
+func TestFailedWriteReleasesLogEntry(t *testing.T) {
+	fs := MustNew(nvm.New(16<<20, sim.ZeroCosts()), DefaultOptions())
+	ctx := sim.NewCtx(0, 1)
+	f, err := fs.Create(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(ctx, make([]byte, 6<<20), 0); err != nil {
+		t.Fatal(err)
+	}
+	// Sub-block overwrites each need a fresh leaf log until space runs out.
+	fails := 0
+	for blk := int64(0); blk < (6<<20)/LeafSpan && fails < 64; blk++ {
+		if _, err := f.WriteAt(ctx, make([]byte, 512), blk*LeafSpan); err != nil {
+			fails++
+		}
+	}
+	if fails == 0 {
+		t.Fatal("no write ran out of space; the test needs a smaller device")
+	}
+	for i := range fs.mlog.claims {
+		if fs.mlog.claims[i].Load() {
+			t.Fatalf("entry %d still claimed after %d failed writes", i, fails)
+		}
+	}
+}

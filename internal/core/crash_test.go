@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"time"
 
 	"mgsp/internal/nvm"
 	"mgsp/internal/sim"
@@ -573,5 +574,54 @@ func TestCrashSweepCursorPublish(t *testing.T) {
 					fail, a, s, hw)
 			}
 		}
+	}
+}
+
+// TestCrashedReadReleasesLocks: a read whose media access panics on a
+// crashed device must still drop its MGL read locks. A leaked R hold never
+// goes away — its owner has unwound — so the next writer of the range would
+// wait in LockLazy forever instead of failing on the dead media.
+func TestCrashedReadReleasesLocks(t *testing.T) {
+	opts := DefaultOptions()
+	opts.OptimisticReads = false // force the locked read path
+	dev := nvm.New(16<<20, sim.ZeroCosts())
+	fs := MustNew(dev, opts)
+	ctx := sim.NewCtx(0, 1)
+	f, err := fs.Create(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough writes that this worker's metadata-log area cursor covers its
+	// whole slot rotation: later claims then touch no media, so the final
+	// write reaches its lock acquisition before anything can panic.
+	for i := 0; i < 2*metaAreaSlots; i++ {
+		if _, err := f.WriteAt(ctx, bytes.Repeat([]byte{1}, 8192), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shield := func(body func()) {
+		defer func() {
+			if r := recover(); r != nil && r != nvm.ErrCrashed {
+				panic(r)
+			}
+		}()
+		body()
+	}
+	dev.ArmCrash(1, 1)
+	shield(func() { f.WriteAt(ctx, []byte{2}, 0) })
+	if !dev.Crashed() {
+		t.Fatal("the armed write did not crash the device")
+	}
+	shield(func() { f.ReadAt(ctx, make([]byte, 4096), 0) })
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		shield(func() { f.WriteAt(ctx, []byte{3}, 0) })
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("write after a crashed read blocked: the read leaked its R lock")
 	}
 }

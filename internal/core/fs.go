@@ -82,6 +82,10 @@ type FS struct {
 	// snapAdmin serializes snapshot creation and drop across the FS (both are
 	// rare control-plane operations; data-plane CoW never takes it).
 	snapAdmin sim.Mutex
+	// liveSnaps counts live snapshots FS-wide (guarded by snapAdmin). Each
+	// holds a metadata-log entry until dropped, and a claim spins while the
+	// log is full, so Snapshot refuses past half the log (maxLiveSnaps).
+	liveSnaps int
 
 	mu    sim.Mutex
 	files map[string]*file
@@ -445,13 +449,13 @@ func (f *file) releaseSubtree(ctx *sim.Ctx, n *node) {
 			f.releaseSubtree(ctx, c)
 		}
 	}
-	if n.logOff != 0 {
-		f.fs.prov.Alloc().Free(ctx, n.logOff, n.span/LeafSpan)
-		n.logOff = 0
+	if off := n.logOff.Load(); off != 0 {
+		f.fs.prov.Alloc().Free(ctx, off, n.span/LeafSpan)
+		n.logOff.Store(0)
 	}
-	if n.recIdx >= 0 {
-		f.fs.dir.clear(ctx, n.recIdx)
-		n.recIdx = -1
+	if rec := n.recIdx.Load(); rec >= 0 {
+		f.fs.dir.clear(ctx, rec)
+		n.recIdx.Store(-1)
 	}
 	n.word.Store(0)
 }

@@ -531,6 +531,11 @@ func (m *metaLog) retire(ctx *sim.Ctx, i int) {
 	m.claims[i].Store(false)
 }
 
+// abandon releases an entry whose operation failed before committing. The
+// slot still holds its last retired contents — nothing is written to it
+// before commit — so no media write is needed.
+func (m *metaLog) abandon(i int) { m.claims[i].Store(false) }
+
 // entryChecksum hashes the entry with the checksum field zeroed.
 func entryChecksum(b []byte) uint64 {
 	var tmp [entrySize]byte

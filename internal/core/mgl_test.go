@@ -337,3 +337,62 @@ func TestOverlappingWritersAtomicity(t *testing.T) {
 	wg.Wait()
 	<-wgWriters
 }
+
+// TestConcurrentFreshBlocksShareAncestors has two handles on one laid-out
+// file write interleaved blocks from two goroutines. The close after layout
+// drops the volatile tree, so each writer lazily persists the records (and
+// logs) of tree nodes the other also reaches: the double-checked record
+// index and log offset must be published safely. Run under -race; it also
+// checks both writers' data landed.
+func TestConcurrentFreshBlocksShareAncestors(t *testing.T) {
+	const writers, blocks = 2, 64
+	fs, setup := newTestFS(smallTreeOpts())
+	f0, err := fs.Create(setup, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f0.WriteAt(setup, make([]byte, writers*blocks*LeafSpan), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f0.Close(setup); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ctx := sim.NewCtx(w+1, int64(w))
+			h, err := fs.Open(ctx, "f")
+			if err != nil {
+				t.Errorf("open: %v", err)
+				return
+			}
+			defer h.Close(ctx)
+			data := bytes.Repeat([]byte{byte(w + 1)}, LeafSpan)
+			for i := 0; i < blocks; i++ {
+				if _, err := h.WriteAt(ctx, data, int64(i*writers+w)*LeafSpan); err != nil {
+					t.Errorf("writer %d block %d: %v", w, i, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	h, err := fs.Open(setup, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, writers*blocks*LeafSpan)
+	if _, err := h.ReadAt(setup, buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < writers*blocks; b++ {
+		want := byte(b%writers + 1)
+		for _, got := range buf[b*LeafSpan : (b+1)*LeafSpan] {
+			if got != want {
+				t.Fatalf("block %d holds %d, want writer %d's data", b, got, want)
+			}
+		}
+	}
+}

@@ -139,7 +139,7 @@ func TestPaperFigure4And5(t *testing.T) {
 	perLevel := map[int64]int64{}
 	var walk func(n *node)
 	walk = func(n *node) {
-		if n.logOff != 0 {
+		if n.logOff.Load() != 0 {
 			perLevel[n.span] += n.span
 		}
 		for i := range n.children {

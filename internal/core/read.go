@@ -76,20 +76,26 @@ func (h *handle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	start := f.searchStart(ctx, off, end)
 	segs := f.readCover(ctx, start, off, end, nil)
 	locks := f.lockOp(ctx, start, segs, false)
-	if single {
-		// Miss fill: resolve the whole block while the R locks pin its
-		// content, install it clean, and serve the request from the copy.
-		// Install refuses to overwrite a present dirty frame, so a buffered
-		// write that slipped in between the probe and here wins.
-		blockLo := block * LeafSpan
-		buf := make([]byte, LeafSpan)
-		f.resolveData(ctx, blockLo, blockLo+LeafSpan, buf)
-		copy(p[:n], buf[off-blockLo:])
-		fs.pcache.Install(f.pf.Slot(), block, buf, false)
-	} else {
-		f.resolveData(ctx, off, end, p[:n])
-	}
-	f.release(ctx, locks)
+	// Deferred release: a media read on a crashed device panics, and an R
+	// hold leaked past the panic would block every later writer of the
+	// range forever.
+	func() {
+		defer f.release(ctx, locks)
+		if single {
+			// Miss fill: resolve the whole block while the R locks pin its
+			// content, install it clean, and serve the request from the
+			// copy. Install refuses to overwrite a present dirty frame, so
+			// a buffered write that slipped in between the probe and here
+			// wins.
+			blockLo := block * LeafSpan
+			buf := make([]byte, LeafSpan)
+			f.resolveData(ctx, blockLo, blockLo+LeafSpan, buf)
+			copy(p[:n], buf[off-blockLo:])
+			fs.pcache.Install(f.pf.Slot(), block, buf, false)
+		} else {
+			f.resolveData(ctx, off, end, p[:n])
+		}
+	}()
 	f.updateMinSearch(off, end)
 	dur := ctx.Now() - began
 	fs.hRead.Observe(dur)
@@ -190,7 +196,7 @@ func (f *file) resolveLeaf(ctx *sim.Ctx, n *node, lo, hi int64, lastValid *node,
 			uEnd = hi
 		}
 		if fromLeaf {
-			f.fs.dev.Read(ctx, buf[cur-base:uEnd-base], n.logOff+(cur-off))
+			f.fs.dev.Read(ctx, buf[cur-base:uEnd-base], n.logOff.Load()+(cur-off))
 		} else {
 			f.readFrom(ctx, lastValid, cur, uEnd, buf[cur-base:uEnd-base])
 		}
@@ -210,7 +216,7 @@ func (f *file) readFrom(ctx *sim.Ctx, src *node, lo, hi int64, out []byte) {
 		if src == nil {
 			f.pf.DirectRead(ctx, out[:valid-lo], lo)
 		} else {
-			f.fs.dev.Read(ctx, out[:valid-lo], src.logOff+(lo-src.offset()))
+			f.fs.dev.Read(ctx, out[:valid-lo], src.logOff.Load()+(lo-src.offset()))
 		}
 	}
 	for i := valid - lo; i < hi-lo; i++ {

@@ -127,8 +127,8 @@ func Mount(ctx *sim.Ctx, dev *nvm.Device, opts Options) (*FS, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: record %d: %w", idx, err)
 		}
-		n.recIdx = idx
-		n.logOff = logOff
+		n.recIdx.Store(idx)
+		n.logOff.Store(logOff)
 		n.word.Store(word)
 		n.birth.Store(birth)
 		if logOff != 0 {
@@ -247,10 +247,9 @@ func Mount(ctx *sim.Ctx, dev *nvm.Device, opts Options) (*FS, error) {
 					// applied) or do nothing (the record already points
 					// there). The superseded block stays alive only through
 					// its snapshot pins.
-					if n.logOff != s.logOff {
-						old := n.logOff
+					if old := n.logOff.Load(); old != s.logOff {
 						fs.dir.setLogOff(ctx, s.recIdx, s.logOff)
-						n.logOff = s.logOff
+						n.logOff.Store(s.logOff)
 						fs.prov.Alloc().MarkRef(s.logOff, n.span/LeafSpan)
 						if old != 0 {
 							fs.prov.Alloc().Free(ctx, old, n.span/LeafSpan)
@@ -281,6 +280,7 @@ func Mount(ctx *sim.Ctx, dev *nvm.Device, opts Options) (*FS, error) {
 		// high-water must cover it so no later cursor persists below it.
 		fs.mlog.floorHW(lc.idx)
 		f.snaps = append(f.snaps, &snapshot{id: id, size: lc.e.fileSize, epoch: lc.e.epoch, entry: lc.idx})
+		fs.liveSnaps++
 		f.refs.Add(1)
 		if id > f.maxLiveSnap.Load() {
 			f.maxLiveSnap.Store(id)
@@ -391,7 +391,7 @@ func restoreExisting(n *node) bool {
 			}
 		}
 	}
-	if childLive && n.recIdx < 0 {
+	if childLive && n.recIdx.Load() < 0 {
 		n.word.Store(n.word.Load() | bitExisting)
 	}
 	return n.word.Load() != 0

@@ -77,8 +77,10 @@ func (h *snapHandle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	start := f.searchStart(ctx, off, end)
 	segs := f.readCover(ctx, start, off, end, nil)
 	locks := f.lockOp(ctx, start, segs, false)
-	f.snapWalk(ctx, root, h.s.id, off, end, 0, 0, p[:n], off)
-	f.release(ctx, locks)
+	func() {
+		defer f.release(ctx, locks) // a crashed media read panics mid-walk
+		f.snapWalk(ctx, root, h.s.id, off, end, 0, 0, p[:n], off)
+	}()
 	f.fs.trace.Record(ctx.ID, obs.OpSnapRead, f.pf.Slot(), off, int64(n), ctx.Now()-began)
 	return n, nil
 }
@@ -97,7 +99,7 @@ func (f *file) snapNodeView(n *node, sid uint64) (uint64, int64) {
 	if p := f.pinFor(n, sid); p != nil {
 		return p.word, p.logOff
 	}
-	return n.word.Load(), n.logOff
+	return n.word.Load(), n.logOff.Load()
 }
 
 // snapWalk mirrors walkResolve with per-node views. The fallback source is

@@ -29,6 +29,9 @@ var (
 	ErrSnapshotNotFound = &snapErr{"core: no such snapshot"}
 	// ErrSnapshotBusy is returned by DropSnapshot while handles are open.
 	ErrSnapshotBusy = &snapErr{"core: snapshot has open handles"}
+	// ErrTooManySnapshots is returned by Snapshot when live snapshots
+	// already hold half the metadata log's entries.
+	ErrTooManySnapshots = &snapErr{"core: live snapshot limit reached"}
 )
 
 type snapErr struct{ s string }
@@ -84,11 +87,15 @@ func pinRefsLog(leaf bool, word uint64) bool {
 // Snapshot freezes the named file's current image and returns its id. The
 // call is O(metadata): one 64-byte log entry plus fences, independent of
 // file size. The snapshot holds a file reference (deferring close-time
-// write-back) until dropped.
+// write-back) until dropped. Past maxLiveSnaps live snapshots FS-wide it
+// returns ErrTooManySnapshots.
 func (fs *FS) Snapshot(ctx *sim.Ctx, name string) (SnapID, error) {
 	began := ctx.Now()
 	fs.snapAdmin.Lock(ctx)
 	defer fs.snapAdmin.Unlock(ctx)
+	if fs.liveSnaps >= fs.maxLiveSnaps() {
+		return 0, ErrTooManySnapshots
+	}
 
 	fs.mu.Lock(ctx)
 	f := fs.files[name]
@@ -129,12 +136,18 @@ func (fs *FS) Snapshot(ctx *sim.Ctx, name string) (SnapID, error) {
 	f.snapMu.Lock()
 	f.snaps = append(f.snaps, &snapshot{id: id, size: size, epoch: epoch, entry: entry})
 	f.snapMu.Unlock()
+	fs.liveSnaps++
 	fs.stats.SnapshotsTaken.Add(1)
 	dur := ctx.Now() - began
 	fs.hSnapshot.Observe(dur)
 	fs.trace.Record(ctx.ID, obs.OpSnapshot, f.pf.Slot(), 0, int64(id), dur)
 	return SnapID(id), nil
 }
+
+// maxLiveSnaps caps live snapshots at half the metadata log: each pins one
+// entry until dropped, and the other half stays free for the transient
+// claims of in-flight operations.
+func (fs *FS) maxLiveSnaps() int { return fs.mlog.entries / 2 }
 
 // OpenSnapshot returns a read-only handle onto the frozen image. Reads take
 // the same MGL read locks as live reads, so they run concurrently with
@@ -192,6 +205,7 @@ func (fs *FS) DropSnapshot(ctx *sim.Ctx, name string, id SnapID) error {
 	de := fs.mlog.claim(ctx, ctx.ID)
 	fs.mlog.commitSnapshotMark(ctx, de, entKindSnapDrop, f.pf.Slot(), uint64(id), 0, uint8(fs.epoch.Load()))
 	fs.mlog.retire(ctx, s.entry)
+	fs.liveSnaps--
 
 	// Deferred unlocks here and below: pin GC and write-back issue media
 	// ops, and a crash-injection panic mid-section must not leak the lock to
@@ -279,7 +293,7 @@ func (f *file) findSnapLocked(id uint64) *snapshot {
 // directory/allocator mutexes.
 func (f *file) cowPin(ctx *sim.Ctx, n *node) {
 	m := f.maxLiveSnap.Load()
-	if m == 0 || n.recIdx < 0 || n.snapSeq.Load() >= m {
+	if m == 0 || n.recIdx.Load() < 0 || n.snapSeq.Load() >= m {
 		return
 	}
 	if n.birth.Load() >= m {
@@ -293,7 +307,7 @@ func (f *file) cowPin(ctx *sim.Ctx, n *node) {
 		return
 	}
 	word := n.word.Load()
-	logOff := n.logOff
+	logOff := n.logOff.Load()
 	rec := f.fs.dir.create(ctx, packTag(f.pf.Slot(), f.spanExp(n.span), n.idx)|tagSnap,
 		logOff, word, n.birth.Load(), m)
 	if logOff != 0 && pinRefsLog(n.leaf, word) {

@@ -163,6 +163,37 @@ func TestSnapshotLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestSnapshotLimitKeepsLogUsable: live snapshots each pin a metadata-log
+// entry, so past the cap Snapshot must refuse instead of letting undropped
+// snapshots fill the log (every later claim would spin forever). Writes
+// keep committing at the cap, and a drop frees a slot again.
+func TestSnapshotLimitKeepsLogUsable(t *testing.T) {
+	fs, ctx := newTestFS(smallTreeOpts())
+	f, err := fs.Create(ctx, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteAt(ctx, fill(8192, 1), 0)
+	var last SnapID
+	for i := 0; i < fs.maxLiveSnaps(); i++ {
+		if last, err = fs.Snapshot(ctx, "f"); err != nil {
+			t.Fatalf("snapshot %d of %d: %v", i, fs.maxLiveSnaps(), err)
+		}
+	}
+	if _, err := fs.Snapshot(ctx, "f"); err != ErrTooManySnapshots {
+		t.Fatalf("snapshot past the cap: %v, want ErrTooManySnapshots", err)
+	}
+	if _, err := f.WriteAt(ctx, fill(4096, 9), 4096); err != nil {
+		t.Fatalf("write at the snapshot cap: %v", err)
+	}
+	if err := fs.DropSnapshot(ctx, "f", last); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.Snapshot(ctx, "f"); err != nil {
+		t.Fatalf("snapshot after a drop: %v", err)
+	}
+}
+
 // TestSnapshotCreationConstantMediaWrites: taking a snapshot costs one
 // metadata-log entry regardless of file size — O(metadata), no data copy.
 func TestSnapshotCreationConstantMediaWrites(t *testing.T) {

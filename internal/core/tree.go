@@ -23,8 +23,11 @@ type node struct {
 	parent   *node
 	children []atomic.Pointer[node] // nil for leaves; slots filled on demand
 
-	recIdx int64 // node directory record index (-1 until persisted)
-	logOff int64 // device offset of the private log; 0 = not allocated
+	// recIdx and logOff are written under treeMu (or an exclusive hold on
+	// the subtree) but read without it by ensureRecord/ensureLog's
+	// double-checked fast path, hence atomic.
+	recIdx atomic.Int64 // node directory record index (-1 until persisted)
+	logOff atomic.Int64 // device offset of the private log; 0 = not allocated
 
 	// word is the volatile mirror of the persistent bitmap word:
 	// leaf: SubBits valid bits (bit i covers sub-unit i);
@@ -118,8 +121,8 @@ func (f *file) ensureTree(ctx *sim.Ctx, capacity int64) {
 // one exists (hint updates on nodes not yet in the directory stay volatile;
 // recovery over-approximates existing bits, which is safe).
 func (f *file) persistWordIfRecorded(ctx *sim.Ctx, n *node) {
-	if n.recIdx >= 0 {
-		f.fs.dir.setWord(ctx, n.recIdx, n.word.Load())
+	if rec := n.recIdx.Load(); rec >= 0 {
+		f.fs.dir.setWord(ctx, rec, n.word.Load())
 	}
 }
 
@@ -138,7 +141,8 @@ func subtreeHasLogs(n *node) bool {
 // newNode builds a volatile node; its persistent record is created lazily by
 // ensureRecord when the node first participates in a committed operation.
 func (f *file) newNode(ctx *sim.Ctx, parent *node, span, idx int64) *node {
-	n := &node{span: span, idx: idx, parent: parent, leaf: span == LeafSpan, recIdx: -1}
+	n := &node{span: span, idx: idx, parent: parent, leaf: span == LeafSpan}
+	n.recIdx.Store(-1)
 	n.birth.Store(f.fs.snapSeq.Load())
 	if !n.leaf {
 		n.children = make([]atomic.Pointer[node], f.fs.opts.Degree)
@@ -168,18 +172,18 @@ func (f *file) ensureChild(ctx *sim.Ctx, n *node, i int64) *node {
 // sequence: any already-live snapshot predates every bit this record will
 // ever commit, so snapshot readers skip it.
 func (f *file) ensureRecord(ctx *sim.Ctx, n *node) {
-	if n.recIdx >= 0 {
+	if n.recIdx.Load() >= 0 {
 		return
 	}
 	f.treeMu.Lock(ctx)
 	defer f.treeMu.Unlock(ctx)
-	if n.recIdx >= 0 {
+	if n.recIdx.Load() >= 0 {
 		return
 	}
 	birth := f.fs.snapSeq.Load()
 	n.birth.Store(birth)
-	n.recIdx = f.fs.dir.create(ctx, packTag(f.pf.Slot(), f.spanExp(n.span), n.idx),
-		n.logOff, n.word.Load(), birth, 0)
+	n.recIdx.Store(f.fs.dir.create(ctx, packTag(f.pf.Slot(), f.spanExp(n.span), n.idx),
+		n.logOff.Load(), n.word.Load(), birth, 0))
 }
 
 // spanExp returns e such that span == LeafSpan * Degree^e.
@@ -195,21 +199,21 @@ func (f *file) spanExp(span int64) int {
 // persists the location in its record. Safe before commit: a log referenced
 // by a record whose valid bit is clear is simply unused after a crash.
 func (f *file) ensureLog(ctx *sim.Ctx, n *node) error {
-	if n.logOff != 0 {
+	if n.logOff.Load() != 0 {
 		return nil
 	}
 	f.ensureRecord(ctx, n)
 	f.treeMu.Lock(ctx)
 	defer f.treeMu.Unlock(ctx)
-	if n.logOff != 0 {
+	if n.logOff.Load() != 0 {
 		return nil
 	}
 	off, err := f.fs.prov.Alloc().AllocContig(ctx, n.span/LeafSpan)
 	if err != nil {
 		return err
 	}
-	f.fs.dir.setLogOff(ctx, n.recIdx, off)
-	n.logOff = off
+	f.fs.dir.setLogOff(ctx, n.recIdx.Load(), off)
+	n.logOff.Store(off)
 	return nil
 }
 

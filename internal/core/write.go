@@ -107,11 +107,13 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 			var err error
 			writes, changes, err = f.planLeaf(ctx, s, p[s.lo-off:s.hi-off], writes, changes)
 			if err != nil {
+				fs.mlog.abandon(entry)
 				return 0, err
 			}
 		} else {
 			w, c, err := f.planInterior(ctx, s, p[s.lo-off:s.hi-off])
 			if err != nil {
+				fs.mlog.abandon(entry)
 				return 0, err
 			}
 			writes = append(writes, w)
@@ -172,10 +174,10 @@ func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64
 	}
 	slots := make([]bitmapSlot, len(changes))
 	for i, c := range changes {
-		if c.n.recIdx < 0 {
+		if c.n.recIdx.Load() < 0 {
 			panic("core: committing a node without a record")
 		}
-		slots[i] = bitmapSlot{recIdx: c.n.recIdx, old: uint16(c.old), new: uint16(c.new)}
+		slots[i] = bitmapSlot{recIdx: c.n.recIdx.Load(), old: uint16(c.old), new: uint16(c.new)}
 	}
 	chainLen := (len(slots) + entrySlots - 1) / entrySlots
 	if chainLen == 0 {
@@ -209,7 +211,7 @@ func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64
 
 	for _, c := range changes {
 		c.n.word.Store(c.new)
-		fs.dir.setWord(ctx, c.n.recIdx, c.new)
+		fs.dir.setWord(ctx, c.n.recIdx.Load(), c.new)
 		if c.markStale {
 			c.n.stale.Store(true)
 		}
@@ -230,13 +232,13 @@ func (f *file) commitChangesSnap(ctx *sim.Ctx, entry int, off, length, newSize i
 	fs := f.fs
 	slots := make([]snapSlot, 0, len(changes)+2)
 	for _, c := range changes {
-		if c.n.recIdx < 0 {
+		if c.n.recIdx.Load() < 0 {
 			panic("core: committing a node without a record")
 		}
-		slots = append(slots, snapSlot{recIdx: c.n.recIdx, kind: snapSlotWord,
+		slots = append(slots, snapSlot{recIdx: c.n.recIdx.Load(), kind: snapSlotWord,
 			old: uint16(c.old), new: uint16(c.new)})
 		if c.newLogOff != 0 {
-			slots = append(slots, snapSlot{recIdx: c.n.recIdx, kind: snapSlotLogSwap,
+			slots = append(slots, snapSlot{recIdx: c.n.recIdx.Load(), kind: snapSlotLogSwap,
 				logOff: c.newLogOff})
 		}
 	}
@@ -266,10 +268,10 @@ func (f *file) commitChangesSnap(ctx *sim.Ctx, entry int, off, length, newSize i
 
 	for _, c := range changes {
 		c.n.word.Store(c.new)
-		fs.dir.setWord(ctx, c.n.recIdx, c.new)
+		fs.dir.setWord(ctx, c.n.recIdx.Load(), c.new)
 		if c.newLogOff != 0 {
-			fs.dir.setLogOff(ctx, c.n.recIdx, c.newLogOff)
-			c.n.logOff = c.newLogOff
+			fs.dir.setLogOff(ctx, c.n.recIdx.Load(), c.newLogOff)
+			c.n.logOff.Store(c.newLogOff)
 		}
 		if c.markStale {
 			c.n.stale.Store(true)
@@ -295,7 +297,7 @@ func (f *file) writeTo(ctx *sim.Ctx, w dataWrite) {
 		f.pf.DirectWrite(ctx, w.data, w.abs)
 		return
 	}
-	f.fs.dev.WriteNT(ctx, w.data, w.dst.logOff+(w.abs-w.dst.offset()))
+	f.fs.dev.WriteNT(ctx, w.data, w.dst.logOff.Load()+(w.abs-w.dst.offset()))
 }
 
 // planInterior handles a full-span target: the shadow toggle at coarse
@@ -312,7 +314,8 @@ func (f *file) planInterior(ctx *sim.Ctx, s segment, data []byte) (dataWrite, wo
 	}
 	f.ensureRecord(ctx, n)
 	old := n.word.Load()
-	if snap && (old&bitValid != 0 || (n.logOff != 0 && f.fs.prov.Alloc().RefCount(n.logOff) > 1)) {
+	logOff := n.logOff.Load()
+	if snap && (old&bitValid != 0 || (logOff != 0 && f.fs.prov.Alloc().RefCount(logOff) > 1)) {
 		// Copy-on-write: the fallback and any pin-shared block are frozen, so
 		// neither the undo toggle nor an in-place redo into a shared log is
 		// allowed. Relocate the whole span to a fresh block; the old block's
@@ -325,7 +328,7 @@ func (f *file) planInterior(ctx *sim.Ctx, s segment, data []byte) (dataWrite, wo
 		f.fs.stats.SnapshotCoWRewrites.Add(1)
 		return dataWrite{dst: n, abs: s.lo, data: data, logOff: newOff},
 			wordChange{n: n, old: old, new: bitValid, markStale: old&bitExisting != 0,
-				newLogOff: newOff, oldLogOff: n.logOff},
+				newLogOff: newOff, oldLogOff: logOff},
 			nil
 	}
 	var dst *node
@@ -386,8 +389,8 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 	// valid units are copied over, hit units toggle ON in the new block, and
 	// the (word, logOff) pair swaps atomically at commit.
 	var newOff int64
-	if snap && n.logOff != 0 {
-		need := f.fs.prov.Alloc().RefCount(n.logOff) > 1
+	if snap && n.logOff.Load() != 0 {
+		need := f.fs.prov.Alloc().RefCount(n.logOff.Load()) > 1
 		if !need && old != 0 {
 			for u := int64(0); u < int64(f.subBits()); u++ {
 				if old&(1<<uint(u)) == 0 {
@@ -440,7 +443,7 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 				// Untouched valid unit: its content must follow the leaf to
 				// the relocated block.
 				buf := make([]byte, unit)
-				f.fs.dev.Read(ctx, buf, n.logOff+u*unit)
+				f.fs.dev.Read(ctx, buf, n.logOff.Load()+u*unit)
 				writes = appendWrite(writes, dataWrite{dst: n, abs: ulo, data: buf, logOff: newOff})
 			}
 			continue
@@ -489,7 +492,7 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 	}
 	wc := wordChange{n: n, old: old, new: newWord}
 	if newOff != 0 {
-		wc.newLogOff, wc.oldLogOff = newOff, n.logOff
+		wc.newLogOff, wc.oldLogOff = newOff, n.logOff.Load()
 	}
 	return writes, append(changes, wc), nil
 }
@@ -534,7 +537,7 @@ func (f *file) setExistingPath(ctx *sim.Ctx, ancestors []*node) {
 			f.ensureRecord(ctx, a)
 			w := a.word.Load() | bitExisting
 			a.word.Store(w)
-			f.fs.dir.setWord(ctx, a.recIdx, w)
+			f.fs.dir.setWord(ctx, a.recIdx.Load(), w)
 		}
 	}
 }
@@ -564,8 +567,8 @@ func (f *file) cleanChildren(ctx *sim.Ctx, a *node) {
 				f.cowPin(ctx, c)
 			}
 			c.word.Store(0)
-			if c.recIdx >= 0 {
-				f.fs.dir.setWord(ctx, c.recIdx, 0)
+			if rec := c.recIdx.Load(); rec >= 0 {
+				f.fs.dir.setWord(ctx, rec, 0)
 			}
 		}
 		if !c.leaf && (w&bitExisting != 0 || c.stale.Load()) {

@@ -91,7 +91,7 @@ func (f *file) copyToFile(ctx *sim.Ctx, src *node, lo, hi int64) {
 		if n > hi-lo {
 			n = hi - lo
 		}
-		f.fs.dev.Read(ctx, buf[:n], src.logOff+(lo-src.offset()))
+		f.fs.dev.Read(ctx, buf[:n], src.logOff.Load()+(lo-src.offset()))
 		f.pf.DirectWrite(ctx, buf[:n], lo)
 		lo += n
 	}

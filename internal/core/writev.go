@@ -152,6 +152,7 @@ func (f *file) writeMulti(ctx *sim.Ctx, updates []Update, acct bool) (int64, int
 		} else {
 			w, c, err := f.planInterior(ctx, p.seg, p.data)
 			if err != nil {
+				fs.mlog.abandon(entry)
 				return 0, 0, err
 			}
 			writes = append(writes, w)
@@ -162,6 +163,7 @@ func (f *file) writeMulti(ctx *sim.Ctx, updates []Update, acct bool) (int64, int
 		var err error
 		writes, changes, err = f.planLeafRanges(ctx, n, leafRanges[n], writes, changes)
 		if err != nil {
+			fs.mlog.abandon(entry)
 			return 0, 0, err
 		}
 	}

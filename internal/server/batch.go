@@ -1,5 +1,7 @@
 package server
 
+import "time"
+
 // writeOp is one client write queued for a shard's group-commit loop.
 type writeOp struct {
 	sf     *srvFile
@@ -8,6 +10,7 @@ type writeOp struct {
 	data   []byte
 	growth int64      // bytes reserved against the tenant quota at admission
 	done   chan error // buffered(1); receives the commit outcome
+	enq    time.Time  // when the write entered the shard queue
 }
 
 func (op *writeOp) end() int64 { return op.off + int64(len(op.data)) }

@@ -1,6 +1,9 @@
 package server
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 func op(sf *srvFile, off, n int64) *writeOp {
 	return &writeOp{sf: sf, off: off, data: make([]byte, n)}
@@ -64,5 +67,82 @@ func TestPlanSubBatchesDifferentFilesNeverConflict(t *testing.T) {
 	}
 	if runs[0].sf != a || len(runs[0].ops) != 2 || len(runs[1].ops) != 1 {
 		t.Fatalf("runs grouped wrong: %+v", runs)
+	}
+}
+
+// queuedShard builds a batcher-less shard whose queue already holds n ops.
+func queuedShard(maxBatch, n int) (*shard, []*writeOp) {
+	sh := &shard{
+		srv:   &Server{cfg: Config{MaxBatchOps: maxBatch}},
+		queue: make(chan *writeOp, n+1),
+	}
+	f := &srvFile{}
+	ops := make([]*writeOp, n)
+	for i := range ops {
+		ops[i] = op(f, int64(i)*4096, 512)
+		sh.queue <- ops[i]
+	}
+	return sh, ops
+}
+
+// drainNow runs drain on another goroutine and fails if it blocks: with no
+// timer, drain must return as soon as the queue is empty.
+func drainNow(t *testing.T, sh *shard, first *writeOp) []*writeOp {
+	t.Helper()
+	got := make(chan []*writeOp, 1)
+	go func() { got <- sh.drain(first) }()
+	select {
+	case b := <-got:
+		return b
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain blocked on an empty queue")
+		return nil
+	}
+}
+
+func TestDrainTakesWholeBacklog(t *testing.T) {
+	sh, ops := queuedShard(0, 10)
+	first := op(&srvFile{}, 1<<20, 512)
+	batch := drainNow(t, sh, first)
+	if len(batch) != 11 || batch[0] != first {
+		t.Fatalf("batch has %d ops, want first + 10 queued", len(batch))
+	}
+	for i, o := range ops {
+		if batch[i+1] != o {
+			t.Fatalf("batch[%d] is not queued op %d: submission order lost", i+1, i)
+		}
+	}
+	if n := len(sh.queue); n != 0 {
+		t.Fatalf("%d ops left queued", n)
+	}
+}
+
+func TestDrainCapsAtMaxBatchOps(t *testing.T) {
+	sh, ops := queuedShard(4, 10)
+	batch := drainNow(t, sh, op(&srvFile{}, 1<<20, 512))
+	if len(batch) != 4 {
+		t.Fatalf("batch has %d ops, want MaxBatchOps=4", len(batch))
+	}
+	if n := len(sh.queue); n != 7 {
+		t.Fatalf("%d ops left queued, want 7", n)
+	}
+	if next := <-sh.queue; next != ops[3] {
+		t.Fatal("the next batch does not start at the first op left behind")
+	}
+}
+
+func TestDrainReturnsPartialBatchOnClose(t *testing.T) {
+	sh, _ := queuedShard(0, 2)
+	close(sh.queue)
+	if batch := drainNow(t, sh, op(&srvFile{}, 1<<20, 512)); len(batch) != 3 {
+		t.Fatalf("batch has %d ops after close, want 3", len(batch))
+	}
+}
+
+func TestDrainLoneWriteDoesNotWait(t *testing.T) {
+	sh, _ := queuedShard(0, 0)
+	first := op(&srvFile{}, 0, 512)
+	if batch := drainNow(t, sh, first); len(batch) != 1 || batch[0] != first {
+		t.Fatalf("lone write drained into a %d-op batch", len(batch))
 	}
 }

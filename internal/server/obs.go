@@ -17,6 +17,9 @@ type serverObs struct {
 	// group commit. Mean > 1 under concurrent writers is the whole point of
 	// the batcher (acceptance criterion for ISSUE 6).
 	hBatchSize *obs.Histogram
+	// hQueueWait is each write's wall time from enqueue to the start of its
+	// group commit: the batching delay a client pays before its write runs.
+	hQueueWait *obs.Histogram
 
 	cGroupCommits *obs.Counter // successful WriteMulti commits
 	cWritesAcked  *obs.Counter // client writes acked durable
@@ -32,6 +35,7 @@ func (s *Server) initObs() {
 	s.obs = serverObs{
 		reg:           r,
 		hBatchSize:    r.Histogram("server.batch_size"),
+		hQueueWait:    r.Histogram("server.queue_wait_ns"),
 		cGroupCommits: r.Counter("server.group_commits"),
 		cWritesAcked:  r.Counter("server.writes_acked"),
 		cOps:          r.Counter("server.ops"),

@@ -35,10 +35,6 @@ type Config struct {
 	// Seed derives each shard's and connection's sim context seed.
 	Seed int64
 
-	// BatchWait is how long the batcher lingers after the first write of a
-	// batch, collecting more to coalesce. 0 means the 200µs default;
-	// negative disables lingering (commit whatever is already queued).
-	BatchWait time.Duration
 	// MaxBatchOps caps writes per batch. Default 64.
 	MaxBatchOps int
 	// QueueCap is each shard's write-queue depth; enqueueing past it blocks
@@ -81,16 +77,6 @@ func (c *Config) devSize() int64 {
 		return 64 << 20
 	}
 	return c.DevSize
-}
-
-func (c *Config) batchWait() time.Duration {
-	if c.BatchWait == 0 {
-		return 200 * time.Microsecond
-	}
-	if c.BatchWait < 0 {
-		return 0
-	}
-	return c.BatchWait
 }
 
 func (c *Config) maxBatchOps() int {
@@ -550,7 +536,7 @@ func (c *conn) handleWrite(id uint32, body []byte) {
 		return
 	}
 	op := &writeOp{sf: sf, ten: c.ten, off: off, data: data, growth: growth,
-		done: make(chan error, 1)}
+		done: make(chan error, 1), enq: time.Now()}
 	sf.sh.queue <- op
 	if err := <-op.done; err != nil {
 		c.replyErr(OpWrite, id, err)

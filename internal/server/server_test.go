@@ -6,7 +6,6 @@ import (
 	"net"
 	"sync"
 	"testing"
-	"time"
 
 	"mgsp/internal/obs"
 	"mgsp/internal/server"
@@ -85,6 +84,10 @@ func TestEndToEnd(t *testing.T) {
 	}
 	if snap.Values["server.writes_acked"] < 2 {
 		t.Fatalf("writes_acked = %g, want >= 2", snap.Values["server.writes_acked"])
+	}
+	// Every write that reached the batcher records its queue wait.
+	if qw := snap.Hists["server.queue_wait_ns"]; float64(qw.Count) != snap.Values["server.writes_acked"] {
+		t.Fatalf("server.queue_wait_ns has %d samples for %g acked writes", qw.Count, snap.Values["server.writes_acked"])
 	}
 	if _, ok := snap.Values["shard0.core.meta_entries"]; !ok {
 		t.Fatal("merged snapshot is missing shard0.core.* metrics")
@@ -185,10 +188,7 @@ func TestQuotas(t *testing.T) {
 // coalesce them (mean WriteMulti batch size > 1) and amortize the metadata
 // log (meta entries per acked write < 1).
 func TestGroupCommitCoalesces(t *testing.T) {
-	srv := newServer(t, server.Config{
-		Shards:    1,
-		BatchWait: 2 * time.Millisecond,
-	})
+	srv := newServer(t, server.Config{Shards: 1})
 
 	const clients = 16
 	const writesEach = 32
@@ -241,7 +241,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 // proves the planner's sub-batch split, and the last writer's data must
 // win (commit order preserves submission order).
 func TestOverlappingWritesSplitSubBatches(t *testing.T) {
-	srv := newServer(t, server.Config{BatchWait: 2 * time.Millisecond})
+	srv := newServer(t, server.Config{})
 	c := pipeClient(t, srv, "t")
 	f, err := c.Open("clash", true)
 	if err != nil {

@@ -133,8 +133,8 @@ func (sh *shard) closeAll(ctx *sim.Ctx) {
 	}
 }
 
-// run is the shard's group-commit loop: block for one write, drain the
-// window, commit the batch, ack. Exits when the queue closes (server
+// run is the shard's group-commit loop: block for one write, drain what is
+// queued, commit the batch, ack. Exits when the queue closes (server
 // shutdown) after draining what was queued.
 func (sh *shard) run() {
 	defer sh.srv.wg.Done()
@@ -143,41 +143,34 @@ func (sh *shard) run() {
 	}
 }
 
-// drain collects the batch: everything immediately queued, then whatever
-// more arrives within BatchWait, capped at MaxBatchOps. The wait is the
-// group-commit gamble — a little wall-clock latency buys writes per
-// metadata-log flush (Snapshot's msync batching, NVLog's absorb window).
+// drain collects the batch by natural group commit: first, everything
+// already queued, then — after one yield that lets connection goroutines
+// already runnable finish enqueueing — whatever became queued, capped at
+// MaxBatchOps. There is no timer: writes that arrive while this batch
+// commits form the next one, so a lone write commits at once and batches
+// grow with load (Snapshot's msync-style batching, with no wait window).
+//
+// The yield is yieldProcessor, not just runtime.Gosched: Gosched only runs
+// goroutines queued on this thread's P, and on a loaded host the other
+// runnable writers can sit on a P whose thread the OS has descheduled.
+// Without giving up the CPU, the batcher and one client then ping-pong
+// alone and no two writes ever share a commit.
 func (sh *shard) drain(first *writeOp) []*writeOp {
 	batch := []*writeOp{first}
 	max := sh.srv.cfg.maxBatchOps()
-	// Greedy phase: take the backlog without waiting.
-	for len(batch) < max {
+	for yielded := false; len(batch) < max; {
 		select {
 		case op, ok := <-sh.queue:
 			if !ok {
 				return batch
 			}
 			batch = append(batch, op)
-			continue
 		default:
-		}
-		break
-	}
-	wait := sh.srv.cfg.batchWait()
-	if wait <= 0 || len(batch) >= max {
-		return batch
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	for len(batch) < max {
-		select {
-		case op, ok := <-sh.queue:
-			if !ok {
+			if yielded {
 				return batch
 			}
-			batch = append(batch, op)
-		case <-timer.C:
-			return batch
+			yielded = true
+			yieldProcessor()
 		}
 	}
 	return batch
@@ -208,6 +201,10 @@ type CommitRecord struct {
 // as one WriteMulti, and acks every op with its outcome.
 func (sh *shard) commit(batch []*writeOp) {
 	srv := sh.srv
+	start := time.Now()
+	for _, op := range batch {
+		srv.obs.hQueueWait.Observe(int64(start.Sub(op.enq)))
+	}
 	for _, sub := range planSubBatches(batch) {
 		for _, run := range splitByFile(sub) {
 			err := sh.commitRun(run)

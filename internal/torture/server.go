@@ -23,7 +23,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"time"
 
 	"mgsp/internal/core"
 	"mgsp/internal/server"
@@ -42,9 +41,8 @@ type ServerConfig struct {
 	// CrashAt arms the shard device to tear the CrashAt-th media operation
 	// issued after the clients are connected (so setup I/O never crashes).
 	// 0 runs to a clean shutdown instead.
-	CrashAt   int64
-	DevSize   int64         // shard device size (default 8 MiB)
-	BatchWait time.Duration // group-commit linger (default 200µs)
+	CrashAt int64
+	DevSize int64 // shard device size (default 8 MiB)
 }
 
 func (cfg ServerConfig) withDefaults() ServerConfig {
@@ -62,9 +60,6 @@ func (cfg ServerConfig) withDefaults() ServerConfig {
 	}
 	if cfg.DevSize == 0 {
 		cfg.DevSize = 8 << 20
-	}
-	if cfg.BatchWait == 0 {
-		cfg.BatchWait = 200 * time.Microsecond
 	}
 	return cfg
 }
@@ -122,10 +117,9 @@ func RunServer(cfg ServerConfig) (*ServerResult, error) {
 	var recMu sync.Mutex
 	var records []server.CommitRecord
 	srv, err := server.New(server.Config{
-		Shards:    1,
-		DevSize:   cfg.DevSize,
-		Seed:      cfg.Seed,
-		BatchWait: cfg.BatchWait,
+		Shards:  1,
+		DevSize: cfg.DevSize,
+		Seed:    cfg.Seed,
 		CommitHook: func(rec server.CommitRecord) {
 			recMu.Lock()
 			records = append(records, rec)
