@@ -17,15 +17,15 @@ func fuzzSeedEntries() [][]byte {
 	ctx := sim.NewCtx(0, 1)
 	m := newMetaLog(dev, 0, 16)
 
-	m.commit(ctx, 0, 3, 4096, 8192, 1<<20,
+	m.commit(ctx, new([entrySize]byte), 0, 3, 4096, 8192, 1<<20,
 		[]bitmapSlot{{recIdx: 7, old: 0x00ff, new: 0xff00}}, 9, 0, 1, 2) // 64-byte op
-	m.commit(ctx, 1, 5, 0, 64, 1<<16, []bitmapSlot{
+	m.commit(ctx, new([entrySize]byte), 1, 5, 0, 64, 1<<16, []bitmapSlot{
 		{recIdx: 1, old: 1, new: 3}, {recIdx: 2, old: 0, new: 1}, {recIdx: 3, old: 7, new: 0xf},
 		{recIdx: 4, old: 0, new: 0x10}, {recIdx: 5, old: 2, new: 6},
 	}, 12, 1, 2, 0) // 128-byte op chain member
-	m.commitSnap(ctx, 2, 4, 512, 1024, 1<<18,
+	m.commitSnap(ctx, new([entrySize]byte), 2, 4, 512, 1024, 1<<18,
 		[]snapSlot{{recIdx: 11, kind: snapSlotWord, old: 1, new: 3}}, 0, 0, 1, 1) // 64-byte snap-op
-	m.commitSnap(ctx, 3, 4, 0, 4096, 1<<18, []snapSlot{
+	m.commitSnap(ctx, new([entrySize]byte), 3, 4, 0, 4096, 1<<18, []snapSlot{
 		{recIdx: 11, kind: snapSlotWord, old: 1, new: 3},
 		{recIdx: 12, kind: snapSlotLogSwap, logOff: 1 << 14},
 	}, 7, 0, 1, 1) // 128-byte snap-op with a log swap

@@ -2,7 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sort"
 
 	"mgsp/internal/sim"
 )
@@ -24,9 +23,11 @@ type opLocks struct {
 // lockOp acquires isolation for an operation over segments (already in
 // offset order): file-level lock, greedy single lock, or the full MGL plan
 // (intentions on ancestors top-down, then R/W on targets in offset order).
-func (f *file) lockOp(ctx *sim.Ctx, start *node, segs []segment, write bool) *opLocks {
+// The returned record lives in pl and is valid until pl is put back.
+func (f *file) lockOp(ctx *sim.Ctx, pl *writePlan, start *node, segs []segment, write bool) *opLocks {
 	began := ctx.Now()
-	ol := &opLocks{write: write}
+	ol := &pl.locks
+	*ol = opLocks{write: write, acquired: ol.acquired[:0]}
 	if f.fs.opts.Locking == LockFile {
 		if write {
 			f.flock.Lock(ctx)
@@ -67,8 +68,7 @@ func (f *file) lockOp(ctx *sim.Ctx, start *node, segs []segment, write bool) *op
 	if write {
 		intent = lockIW
 	}
-	ancestors := ancestorsOf(segs)
-	for _, a := range ancestors {
+	for _, a := range ancestorsOf(pl, segs) {
 		f.acquireIntent(ctx, a, intent, ol)
 	}
 	for _, s := range segs {
@@ -113,29 +113,6 @@ func (f *file) tryGreedy(ctx *sim.Ctx) bool {
 		return false
 	}
 	return true
-}
-
-// ancestorsOf returns the deduplicated ancestors of all segment nodes,
-// ordered top-down (larger spans first) then by offset.
-func ancestorsOf(segs []segment) []*node {
-	seen := make(map[*node]bool)
-	var out []*node
-	for _, s := range segs {
-		for a := s.n.parent; a != nil; a = a.parent {
-			if seen[a] {
-				break // higher ancestors already collected
-			}
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].span != out[j].span {
-			return out[i].span > out[j].span
-		}
-		return out[i].offset() < out[j].offset()
-	})
-	return out
 }
 
 // acquireIntent takes an intention lock on an ancestor. Under lazy cleaning

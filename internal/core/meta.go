@@ -432,13 +432,13 @@ func (m *metaLog) floorHW(i int) {
 // operations need a single entry; ops whose decomposition touches more than
 // ten nodes chain several, identified by a group id, and the chain commits
 // atomically because entries persist in order and recovery only applies
-// complete chains.
-func (m *metaLog) commit(ctx *sim.Ctx, i int, fileSlot int, offset, length, fileSize int64,
+// complete chains. buf is the caller's scratch for the encoded entry.
+func (m *metaLog) commit(ctx *sim.Ctx, buf *[entrySize]byte, i int, fileSlot int, offset, length, fileSize int64,
 	slots []bitmapSlot, group uint32, chainIdx, chainLen int, epoch uint8) {
 	if len(slots) > entrySlots {
 		panic(fmt.Sprintf("core: %d bitmap slots exceed the %d per entry", len(slots), entrySlots))
 	}
-	var buf [entrySize]byte
+	*buf = [entrySize]byte{}
 	binary.LittleEndian.PutUint64(buf[entLen:], uint64(length))
 	binary.LittleEndian.PutUint64(buf[entSlot:], uint64(fileSlot))
 	binary.LittleEndian.PutUint64(buf[entOffset:], uint64(offset))
@@ -462,13 +462,14 @@ func (m *metaLog) commit(ctx *sim.Ctx, i int, fileSlot int, offset, length, file
 // commitSnap persists one entry of a snapshot-mode operation chain: same
 // header layout as commit, but kind entKindOpSnap with 16-byte slots so a
 // copy-on-write log swap (new log offset) can ride in the same atomic entry
-// as the node's word flip.
-func (m *metaLog) commitSnap(ctx *sim.Ctx, i int, fileSlot int, offset, length, fileSize int64,
+// as the node's word flip. buf is the caller's scratch for the encoded
+// entry.
+func (m *metaLog) commitSnap(ctx *sim.Ctx, buf *[entrySize]byte, i int, fileSlot int, offset, length, fileSize int64,
 	slots []snapSlot, group uint32, chainIdx, chainLen int, epoch uint8) {
 	if len(slots) > snapOpSlots {
 		panic(fmt.Sprintf("core: %d snap slots exceed the %d per entry", len(slots), snapOpSlots))
 	}
-	var buf [entrySize]byte
+	*buf = [entrySize]byte{}
 	binary.LittleEndian.PutUint64(buf[entLen:], uint64(length))
 	binary.LittleEndian.PutUint64(buf[entSlot:], uint64(fileSlot)|uint64(entKindOpSnap)<<56)
 	binary.LittleEndian.PutUint64(buf[entOffset:], uint64(offset))
@@ -536,14 +537,16 @@ func (m *metaLog) retire(ctx *sim.Ctx, i int) {
 // before commit — so no media write is needed.
 func (m *metaLog) abandon(i int) { m.claims[i].Store(false) }
 
-// entryChecksum hashes the entry with the checksum field zeroed.
+// zeroCksum stands in for the checksum field while hashing.
+var zeroCksum [8]byte
+
+// entryChecksum hashes the entry with the checksum field zeroed: CRC-32
+// (IEEE) streamed over the bytes before the field, eight zero bytes, and the
+// bytes after it. len(b) must exceed entCksum+8.
 func entryChecksum(b []byte) uint64 {
-	var tmp [entrySize]byte
-	copy(tmp[:], b)
-	for i := entCksum; i < entCksum+8; i++ {
-		tmp[i] = 0
-	}
-	return uint64(crc32.ChecksumIEEE(tmp[:len(b)]))
+	c := crc32.Update(0, crc32.IEEETable, b[:entCksum])
+	c = crc32.Update(c, crc32.IEEETable, zeroCksum[:])
+	return uint64(crc32.Update(c, crc32.IEEETable, b[entCksum+8:]))
 }
 
 // logEntry is a decoded metadata-log entry.

@@ -9,7 +9,8 @@ import (
 
 // Micro-benchmarks of MGSP primitives. They report virtual nanoseconds per
 // operation (vns/op) — the cost-model time an op takes on the simulated
-// Optane — alongside Go's own wall-clock ns/op (the simulator's speed).
+// Optane — alongside Go's own wall-clock ns/op and allocations (the
+// simulator's host cost).
 func benchFS(b *testing.B) (*FS, *sim.Ctx, interface {
 	WriteAt(*sim.Ctx, []byte, int64) (int, error)
 	ReadAt(*sim.Ctx, []byte, int64) (int, error)
@@ -33,6 +34,7 @@ func benchWrite(b *testing.B, size int, stride int64) {
 	_, ctx, f := benchFS(b)
 	buf := make([]byte, size)
 	t0 := ctx.Now()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := (int64(i) * stride) % (16 << 20)
@@ -43,7 +45,13 @@ func benchWrite(b *testing.B, size int, stride int64) {
 	b.ReportMetric(float64(ctx.Now()-t0)/float64(b.N), "vns/op")
 }
 
+// BenchmarkCoreWrite256B is the partial-unit case: every write completes
+// half a 512 B unit by read-modify-write.
+func BenchmarkCoreWrite256B(b *testing.B) { benchWrite(b, 256, 256) }
 func BenchmarkCoreWrite512B(b *testing.B) { benchWrite(b, 512, 512) }
+
+// BenchmarkCoreWrite2K coalesces four full units into one store.
+func BenchmarkCoreWrite2K(b *testing.B)   { benchWrite(b, 2048, 2048) }
 func BenchmarkCoreWrite4K(b *testing.B)   { benchWrite(b, 4096, 4096) }
 func BenchmarkCoreWrite256K(b *testing.B) { benchWrite(b, 256<<10, 256<<10) }
 
@@ -51,6 +59,7 @@ func BenchmarkCoreRead4K(b *testing.B) {
 	_, ctx, f := benchFS(b)
 	buf := make([]byte, 4096)
 	t0 := ctx.Now()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := (int64(i) * 4096) % (16 << 20)

@@ -79,8 +79,9 @@ func (f *file) readOptimistic(ctx *sim.Ctx, p []byte, off int64, began int64) bo
 		return false
 	}
 	end := off + int64(len(p))
-	vers := make([]nodeVer, 0, 8)
-	if !f.walkOpt(ctx, root, off, end, nil, p, off, &vers) {
+	var stack [8]nodeVer
+	vers, ok := f.walkOpt(ctx, root, off, end, nil, p, off, stack[:0])
+	if !ok {
 		fs.stats.OptReadFallbacks.Add(ctx.ID, 1)
 		return false
 	}
@@ -106,26 +107,26 @@ func (f *file) readOptimistic(ctx *sim.Ctx, p []byte, off int64, began int64) bo
 
 // walkOpt mirrors walkResolve with version recording: the structure and the
 // cost accounting are identical, but every visited node's version is checked
-// (bail on odd: a writer holds W right now) and remembered for post-copy
-// validation. The leaf/fallback copies reuse the locked path's helpers,
-// which are themselves lock-free.
-func (f *file) walkOpt(ctx *sim.Ctx, n *node, lo, hi int64, lastValid *node, buf []byte, base int64, vers *[]nodeVer) bool {
+// (bail on odd: a writer holds W right now) and appended to vers for
+// post-copy validation. The leaf/fallback copies reuse the locked path's
+// helpers, which are themselves lock-free.
+func (f *file) walkOpt(ctx *sim.Ctx, n *node, lo, hi int64, lastValid *node, buf []byte, base int64, vers []nodeVer) ([]nodeVer, bool) {
 	v := n.lock.ver.Load()
 	if v&1 != 0 {
-		return false
+		return vers, false
 	}
-	*vers = append(*vers, nodeVer{n, v})
+	vers = append(vers, nodeVer{n, v})
 	ctx.Advance(f.fs.costs.IndexStep)
 	if n.leaf {
 		f.resolveLeaf(ctx, n, lo, hi, lastValid, buf, base)
-		return true
+		return vers, true
 	}
 	if n.word.Load()&bitValid != 0 {
 		lastValid = n
 	}
 	if n.word.Load()&bitExisting == 0 {
 		f.readFrom(ctx, lastValid, lo, hi, buf[lo-base:hi-base])
-		return true
+		return vers, true
 	}
 	cs := n.childSpan(f.fs.opts.Degree)
 	for cur := lo; cur < hi; {
@@ -135,13 +136,14 @@ func (f *file) walkOpt(ctx *sim.Ctx, n *node, lo, hi int64, lastValid *node, buf
 			cEnd = hi
 		}
 		if c := n.children[ci].Load(); c != nil {
-			if !f.walkOpt(ctx, c, cur, cEnd, lastValid, buf, base, vers) {
-				return false
+			var ok bool
+			if vers, ok = f.walkOpt(ctx, c, cur, cEnd, lastValid, buf, base, vers); !ok {
+				return vers, false
 			}
 		} else {
 			f.readFrom(ctx, lastValid, cur, cEnd, buf[cur-base:cEnd-base])
 		}
 		cur = cEnd
 	}
-	return true
+	return vers, true
 }

@@ -73,13 +73,16 @@ func (h *handle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 		return n, nil
 	}
 
+	pl := getPlan()
 	start := f.searchStart(ctx, off, end)
-	segs := f.readCover(ctx, start, off, end, nil)
-	locks := f.lockOp(ctx, start, segs, false)
+	segs := f.readCover(ctx, start, off, end, pl.segs[:0])
+	pl.segs = segs
+	locks := f.lockOp(ctx, pl, start, segs, false)
 	// Deferred release: a media read on a crashed device panics, and an R
 	// hold leaked past the panic would block every later writer of the
 	// range forever.
 	func() {
+		defer putPlan(pl)
 		defer f.release(ctx, locks)
 		if single {
 			// Miss fill: resolve the whole block while the R locks pin its

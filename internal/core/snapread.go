@@ -74,10 +74,13 @@ func (h *snapHandle) ReadAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// Same MGL read locking as live reads: snapshot readers run concurrently
 	// with each other and with writers outside the locked ranges.
 	began := ctx.Now()
+	pl := getPlan()
 	start := f.searchStart(ctx, off, end)
-	segs := f.readCover(ctx, start, off, end, nil)
-	locks := f.lockOp(ctx, start, segs, false)
+	segs := f.readCover(ctx, start, off, end, pl.segs[:0])
+	pl.segs = segs
+	locks := f.lockOp(ctx, pl, start, segs, false)
 	func() {
+		defer putPlan(pl)
 		defer f.release(ctx, locks) // a crashed media read panics mid-walk
 		f.snapWalk(ctx, root, h.s.id, off, end, 0, 0, p[:n], off)
 	}()

@@ -236,19 +236,22 @@ type segment struct {
 	lo, hi int64
 }
 
-// cover decomposes [lo, hi) into maximal aligned node targets, creating
-// nodes along the way — Algorithm 1's traversal, minus the data movement.
-// With MultiGranularity off, every target is a leaf.
-func (f *file) cover(ctx *sim.Ctx, n *node, lo, hi int64, out []segment) []segment {
+// cover appends to pl.segs the decomposition of [lo, hi) into maximal
+// aligned node targets, creating nodes along the way — Algorithm 1's
+// traversal, minus the data movement — and returns pl.segs. With
+// MultiGranularity off, every target is a leaf.
+func (f *file) cover(ctx *sim.Ctx, pl *writePlan, n *node, lo, hi int64) []segment {
 	ctx.Advance(f.fs.costs.IndexStep)
 	if n.leaf {
-		return append(out, segment{n: n, lo: lo, hi: hi})
+		pl.segs = append(pl.segs, segment{n: n, lo: lo, hi: hi})
+		return pl.segs
 	}
 	if f.fs.opts.MultiGranularity && lo == n.offset() && hi == n.offset()+n.span && n.parent != nil {
 		// Whole-node coverage: handle at this granularity (never the root —
 		// the root's log is the file, and in-place whole-file writes would
 		// not be failure-atomic).
-		return append(out, segment{n: n, lo: lo, hi: hi})
+		pl.segs = append(pl.segs, segment{n: n, lo: lo, hi: hi})
+		return pl.segs
 	}
 	cs := n.childSpan(f.fs.opts.Degree)
 	for cur := lo; cur < hi; {
@@ -258,10 +261,10 @@ func (f *file) cover(ctx *sim.Ctx, n *node, lo, hi int64, out []segment) []segme
 			cEnd = hi
 		}
 		c := f.ensureChild(ctx, n, ci)
-		out = f.cover(ctx, c, cur, cEnd, out)
+		f.cover(ctx, pl, c, cur, cEnd)
 		cur = cEnd
 	}
-	return out
+	return pl.segs
 }
 
 // searchStart picks the traversal starting node: the cached minimum search

@@ -89,41 +89,37 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	// Claim a private metadata log entry (lock-free, §III-C1).
 	entry := fs.mlog.claim(ctx, ctx.ID)
 
+	// Plan the op in pooled scratch; returned after the locks (LIFO).
+	pl := getPlan()
+	defer putPlan(pl)
+
 	// Locate targets (Algorithm 1's traversal) and lock (§III-C2).
 	start := f.searchStart(ctx, off, end)
-	segs := f.cover(ctx, start, off, end, nil)
-	locks := f.lockOp(ctx, start, segs, true)
+	segs := f.cover(ctx, pl, start, off, end)
+	locks := f.lockOp(ctx, pl, start, segs, true)
 	defer f.release(ctx, locks)
 
 	// Set existing bits down the paths, cleaning lazily-invalidated
 	// descendants on the way (§III-B2).
-	f.setExistingPath(ctx, ancestorsOf(segs))
+	f.setExistingPath(ctx, ancestorsOf(pl, segs))
 
 	// Plan: per-target shadow-log destination, data writes, word changes.
-	var writes []dataWrite
-	var changes []wordChange
 	for _, s := range segs {
+		var err error
 		if s.n.leaf {
-			var err error
-			writes, changes, err = f.planLeaf(ctx, s, p[s.lo-off:s.hi-off], writes, changes)
-			if err != nil {
-				fs.mlog.abandon(entry)
-				return 0, err
-			}
+			err = f.planLeaf(ctx, pl, s, p[s.lo-off:s.hi-off])
 		} else {
-			w, c, err := f.planInterior(ctx, s, p[s.lo-off:s.hi-off])
-			if err != nil {
-				fs.mlog.abandon(entry)
-				return 0, err
-			}
-			writes = append(writes, w)
-			changes = append(changes, c)
+			err = f.planInterior(ctx, pl, s, p[s.lo-off:s.hi-off])
+		}
+		if err != nil {
+			fs.mlog.abandon(entry)
+			return 0, err
 		}
 	}
 
 	// Shadow-data phase: every store lands in a location that is not the
 	// current source of truth, so nothing is visible until commit.
-	for _, w := range writes {
+	for _, w := range pl.writes {
 		f.writeTo(ctx, w)
 	}
 	fs.dev.Fence(ctx)
@@ -134,7 +130,7 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	if end > newSize {
 		newSize = end
 	}
-	f.commitChanges(ctx, entry, off, int64(len(p)), newSize, changes)
+	f.commitChanges(ctx, pl, entry, off, int64(len(p)), newSize)
 
 	// Publish the new size (also recorded in the entry for recovery).
 	// Deferred unlock: SetSize persists the size word (a media op), and a
@@ -163,22 +159,25 @@ func (h *handle) WriteAt(ctx *sim.Ctx, p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// commitChanges writes the metadata-log entry chain and applies the words.
-func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64, changes []wordChange) {
+// commitChanges writes the metadata-log entry chain for pl.changes and
+// applies the words.
+func (f *file) commitChanges(ctx *sim.Ctx, pl *writePlan, entry int, off, length, newSize int64) {
 	fs := f.fs
+	changes := pl.changes
 	for _, c := range changes {
 		if c.newLogOff != 0 {
-			f.commitChangesSnap(ctx, entry, off, length, newSize, changes)
+			f.commitChangesSnap(ctx, pl, entry, off, length, newSize)
 			return
 		}
 	}
-	slots := make([]bitmapSlot, len(changes))
-	for i, c := range changes {
+	slots := pl.slots[:0]
+	for _, c := range changes {
 		if c.n.recIdx.Load() < 0 {
 			panic("core: committing a node without a record")
 		}
-		slots[i] = bitmapSlot{recIdx: c.n.recIdx.Load(), old: uint16(c.old), new: uint16(c.new)}
+		slots = append(slots, bitmapSlot{recIdx: c.n.recIdx.Load(), old: uint16(c.old), new: uint16(c.new)})
 	}
+	pl.slots = slots
 	chainLen := (len(slots) + entrySlots - 1) / entrySlots
 	if chainLen == 0 {
 		chainLen = 1
@@ -189,7 +188,7 @@ func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64
 	// op to retire, so an entry can never carry an epoch older than a
 	// checkpoint that excludes it.
 	epoch := uint8(fs.epoch.Load())
-	extra := make([]int, 0, chainLen-1)
+	extra := pl.extra[:0]
 	for i := 1; i < chainLen; i++ {
 		e := fs.mlog.claim(ctx, ctx.ID+i)
 		extra = append(extra, e)
@@ -198,15 +197,16 @@ func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64
 		if hi > len(slots) {
 			hi = len(slots)
 		}
-		fs.mlog.commit(ctx, e, f.pf.Slot(), off, length, newSize, slots[lo:hi], group, i, chainLen, epoch)
+		fs.mlog.commit(ctx, &pl.entry, e, f.pf.Slot(), off, length, newSize, slots[lo:hi], group, i, chainLen, epoch)
 	}
+	pl.extra = extra
 	first := slots
 	if len(first) > entrySlots {
 		first = first[:entrySlots]
 	}
 	// The first entry persists last: it completes the chain, making it the
 	// commit point.
-	fs.mlog.commit(ctx, entry, f.pf.Slot(), off, length, newSize, first, group, 0, chainLen, epoch)
+	fs.mlog.commit(ctx, &pl.entry, entry, f.pf.Slot(), off, length, newSize, first, group, 0, chainLen, epoch)
 	fs.stats.MetaEntries.Add(ctx.ID, int64(chainLen))
 
 	for _, c := range changes {
@@ -228,9 +228,10 @@ func (f *file) commitChanges(ctx *sim.Ctx, entry int, off, length, newSize int64
 // swaps are applied (record logOff updated, node repointed) and the old
 // blocks' live references released — snapshot pins keep them alive for as
 // long as any frozen view still reads them.
-func (f *file) commitChangesSnap(ctx *sim.Ctx, entry int, off, length, newSize int64, changes []wordChange) {
+func (f *file) commitChangesSnap(ctx *sim.Ctx, pl *writePlan, entry int, off, length, newSize int64) {
 	fs := f.fs
-	slots := make([]snapSlot, 0, len(changes)+2)
+	changes := pl.changes
+	slots := pl.snaps[:0]
 	for _, c := range changes {
 		if c.n.recIdx.Load() < 0 {
 			panic("core: committing a node without a record")
@@ -242,13 +243,14 @@ func (f *file) commitChangesSnap(ctx *sim.Ctx, entry int, off, length, newSize i
 				logOff: c.newLogOff})
 		}
 	}
+	pl.snaps = slots
 	chainLen := (len(slots) + snapOpSlots - 1) / snapOpSlots
 	if chainLen == 0 {
 		chainLen = 1
 	}
 	group := fs.opSeq.Add(1)
 	epoch := uint8(fs.epoch.Load())
-	extra := make([]int, 0, chainLen-1)
+	extra := pl.extra[:0]
 	for i := 1; i < chainLen; i++ {
 		e := fs.mlog.claim(ctx, ctx.ID+i)
 		extra = append(extra, e)
@@ -257,13 +259,14 @@ func (f *file) commitChangesSnap(ctx *sim.Ctx, entry int, off, length, newSize i
 		if hi > len(slots) {
 			hi = len(slots)
 		}
-		fs.mlog.commitSnap(ctx, e, f.pf.Slot(), off, length, newSize, slots[lo:hi], group, i, chainLen, epoch)
+		fs.mlog.commitSnap(ctx, &pl.entry, e, f.pf.Slot(), off, length, newSize, slots[lo:hi], group, i, chainLen, epoch)
 	}
+	pl.extra = extra
 	first := slots
 	if len(first) > snapOpSlots {
 		first = first[:snapOpSlots]
 	}
-	fs.mlog.commitSnap(ctx, entry, f.pf.Slot(), off, length, newSize, first, group, 0, chainLen, epoch)
+	fs.mlog.commitSnap(ctx, &pl.entry, entry, f.pf.Slot(), off, length, newSize, first, group, 0, chainLen, epoch)
 	fs.stats.MetaEntries.Add(ctx.ID, int64(chainLen))
 
 	for _, c := range changes {
@@ -305,7 +308,7 @@ func (f *file) writeTo(ctx *sim.Ctx, w dataWrite) {
 // goes there (redo role); if it is, the new data goes to the fallback
 // (nearest valid ancestor's log, or the file) and the node's bit flips off
 // (undo role) — either way exactly one data write (§III-B1, Figure 3).
-func (f *file) planInterior(ctx *sim.Ctx, s segment, data []byte) (dataWrite, wordChange, error) {
+func (f *file) planInterior(ctx *sim.Ctx, pl *writePlan, s segment, data []byte) error {
 	n := s.n
 	f.touchNode(n)
 	snap := f.maxLiveSnap.Load() != 0
@@ -323,13 +326,13 @@ func (f *file) planInterior(ctx *sim.Ctx, s segment, data []byte) (dataWrite, wo
 		// alive as long as a snapshot reads it).
 		newOff, err := f.fs.prov.Alloc().AllocContig(ctx, n.span/LeafSpan)
 		if err != nil {
-			return dataWrite{}, wordChange{}, err
+			return err
 		}
 		f.fs.stats.SnapshotCoWRewrites.Add(1)
-		return dataWrite{dst: n, abs: s.lo, data: data, logOff: newOff},
-			wordChange{n: n, old: old, new: bitValid, markStale: old&bitExisting != 0,
-				newLogOff: newOff, oldLogOff: logOff},
-			nil
+		pl.writes = append(pl.writes, dataWrite{dst: n, abs: s.lo, data: data, logOff: newOff})
+		pl.changes = append(pl.changes, wordChange{n: n, old: old, new: bitValid,
+			markStale: old&bitExisting != 0, newLogOff: newOff, oldLogOff: logOff})
+		return nil
 	}
 	var dst *node
 	var newWord uint64
@@ -339,15 +342,15 @@ func (f *file) planInterior(ctx *sim.Ctx, s segment, data []byte) (dataWrite, wo
 		f.fs.stats.ToggleToFallback.Add(1)
 	} else {
 		if err := f.ensureLog(ctx, n); err != nil {
-			return dataWrite{}, wordChange{}, err
+			return err
 		}
 		dst = n
 		newWord = bitValid
 		f.fs.stats.ToggleToLog.Add(1)
 	}
-	return dataWrite{dst: dst, abs: s.lo, data: data},
-		wordChange{n: n, old: old, new: newWord, markStale: old&bitExisting != 0},
-		nil
+	pl.writes = append(pl.writes, dataWrite{dst: dst, abs: s.lo, data: data})
+	pl.changes = append(pl.changes, wordChange{n: n, old: old, new: newWord, markStale: old&bitExisting != 0})
+	return nil
 }
 
 // rangeData is one disjoint byte range of new data within a leaf.
@@ -359,16 +362,16 @@ type rangeData struct {
 // planLeaf handles a leaf target: per-sub-unit shadow toggles with
 // read-modify-write completion for partially covered units ("there will
 // still be some redundant writes if the write is not aligned").
-func (f *file) planLeaf(ctx *sim.Ctx, s segment, data []byte,
-	writes []dataWrite, changes []wordChange) ([]dataWrite, []wordChange, error) {
-	return f.planLeafRanges(ctx, s.n, []rangeData{{s.lo, s.hi, data}}, writes, changes)
+func (f *file) planLeaf(ctx *sim.Ctx, pl *writePlan, s segment, data []byte) error {
+	pl.ranges = append(pl.ranges[:0], rangeData{s.lo, s.hi, data})
+	return f.planLeafRanges(ctx, pl, s.n, pl.ranges)
 }
 
 // planLeafRanges plans one leaf's shadow toggle for any number of disjoint
 // new-data ranges (WriteMulti may land several updates in one leaf; each
-// sub-unit must toggle exactly once per operation).
-func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
-	writes []dataWrite, changes []wordChange) ([]dataWrite, []wordChange, error) {
+// sub-unit must toggle exactly once per operation). Data writes and the
+// leaf's word change are appended to pl.
+func (f *file) planLeafRanges(ctx *sim.Ctx, pl *writePlan, n *node, ranges []rangeData) error {
 	f.touchNode(n)
 	snap := f.maxLiveSnap.Load() != 0
 	if snap {
@@ -412,7 +415,7 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 			var err error
 			newOff, err = f.fs.prov.Alloc().Alloc(ctx)
 			if err != nil {
-				return writes, changes, err
+				return err
 			}
 			f.fs.stats.SnapshotCoWRewrites.Add(1)
 		}
@@ -423,7 +426,7 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 		uhi := ulo + unit
 		bit := uint64(1) << uint(u)
 		// Collect the ranges intersecting this unit.
-		var hit []rangeData
+		hit := pl.hit[:0]
 		covered := int64(0)
 		for _, r := range ranges {
 			if r.lo < uhi && ulo < r.hi {
@@ -438,13 +441,14 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 				covered += hi - lo
 			}
 		}
+		pl.hit = hit
 		if len(hit) == 0 {
 			if newOff != 0 && old&bit != 0 {
 				// Untouched valid unit: its content must follow the leaf to
 				// the relocated block.
-				buf := make([]byte, unit)
+				buf := pl.alloc(int(unit))
 				f.fs.dev.Read(ctx, buf, n.logOff.Load()+u*unit)
-				writes = appendWrite(writes, dataWrite{dst: n, abs: ulo, data: buf, logOff: newOff})
+				pl.appendWrite(dataWrite{dst: n, abs: ulo, data: buf, logOff: newOff})
 			}
 			continue
 		}
@@ -456,7 +460,7 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 			newWord |= bit
 		} else if old&bit == 0 {
 			if err := f.ensureLog(ctx, n); err != nil {
-				return writes, changes, err
+				return err
 			}
 			dst = n
 			newWord |= bit
@@ -469,12 +473,13 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 		full := len(hit) == 1 && hit[0].lo <= ulo && hit[0].hi >= uhi
 		if full {
 			r := hit[0]
-			writes = appendWrite(writes, dataWrite{dst: dst, abs: ulo, data: r.data[ulo-r.lo : uhi-r.lo], logOff: dstOff})
+			pl.appendWrite(dataWrite{dst: dst, abs: ulo, data: r.data[ulo-r.lo : uhi-r.lo], logOff: dstOff})
 			continue
 		}
 		// Partial unit: complete with the current latest content unless the
-		// hits jointly cover it, then patch every hit in.
-		buf := make([]byte, unit)
+		// hits jointly cover it, then patch every hit in. Either way every
+		// byte of the (stale) arena buffer is overwritten.
+		buf := pl.alloc(int(unit))
 		if covered < unit {
 			f.resolveData(ctx, ulo, uhi, buf)
 		}
@@ -488,25 +493,14 @@ func (f *file) planLeafRanges(ctx *sim.Ctx, n *node, ranges []rangeData,
 			}
 			copy(buf[lo-ulo:], r.data[lo-r.lo:hi-r.lo])
 		}
-		writes = appendWrite(writes, dataWrite{dst: dst, abs: ulo, data: buf, logOff: dstOff})
+		pl.appendWrite(dataWrite{dst: dst, abs: ulo, data: buf, logOff: dstOff})
 	}
 	wc := wordChange{n: n, old: old, new: newWord}
 	if newOff != 0 {
 		wc.newLogOff, wc.oldLogOff = newOff, n.logOff.Load()
 	}
-	return writes, append(changes, wc), nil
-}
-
-// appendWrite coalesces contiguous stores to the same destination.
-func appendWrite(writes []dataWrite, w dataWrite) []dataWrite {
-	if k := len(writes) - 1; k >= 0 {
-		last := &writes[k]
-		if last.dst == w.dst && last.logOff == w.logOff && last.abs+int64(len(last.data)) == w.abs {
-			last.data = append(last.data[:len(last.data):len(last.data)], w.data...)
-			return writes
-		}
-	}
-	return append(writes, w)
+	pl.changes = append(pl.changes, wc)
+	return nil
 }
 
 // subBits returns the effective leaf valid-bit count (1 in fixed-granularity

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mgsp/internal/obs"
 	"mgsp/internal/sim"
@@ -100,29 +101,27 @@ func (f *file) writeMulti(ctx *sim.Ctx, updates []Update, acct bool) (int64, int
 
 	entry := fs.mlog.claim(ctx, ctx.ID)
 
+	// Plan the op in pooled scratch; returned after the locks (LIFO).
+	pl := getPlan()
+	defer putPlan(pl)
+
 	// Decompose every update and lock the union in offset order.
 	start := f.searchStart(ctx, lo, maxEnd)
-	type part struct {
-		seg  segment
-		data []byte
-	}
-	var parts []part
-	var allSegs []segment
 	for _, u := range updates {
 		if len(u.Data) == 0 {
 			continue
 		}
-		segs := f.cover(ctx, f.root.Load(), u.Off, u.Off+int64(len(u.Data)), nil)
-		for _, s := range segs {
-			parts = append(parts, part{seg: s, data: u.Data[s.lo-u.Off : s.hi-u.Off]})
-			allSegs = append(allSegs, s)
+		k := len(pl.segs)
+		for _, s := range f.cover(ctx, pl, f.root.Load(), u.Off, u.Off+int64(len(u.Data)))[k:] {
+			pl.parts = append(pl.parts, part{seg: s, data: u.Data[s.lo-u.Off : s.hi-u.Off]})
 		}
 	}
-	sortSegments(allSegs)
+	// Updates never overlap, so every segment starts at a distinct offset.
+	slices.SortFunc(pl.segs, func(a, b segment) int { return cmp.Compare(a.lo, b.lo) })
 	// Dedupe segments sharing a node (two updates in one leaf): W locks are
 	// not reentrant.
-	dedup := allSegs[:0]
-	for _, s := range allSegs {
+	dedup := pl.segs[:0]
+	for _, s := range pl.segs {
 		if k := len(dedup) - 1; k >= 0 && dedup[k].n == s.n {
 			if s.hi > dedup[k].hi {
 				dedup[k].hi = s.hi
@@ -131,43 +130,38 @@ func (f *file) writeMulti(ctx *sim.Ctx, updates []Update, acct bool) (int64, int
 		}
 		dedup = append(dedup, s)
 	}
-	allSegs = dedup
-	locks := f.lockOp(ctx, start, allSegs, true)
+	allSegs := dedup
+	locks := f.lockOp(ctx, pl, start, allSegs, true)
 	defer f.release(ctx, locks)
 
-	f.setExistingPath(ctx, ancestorsOf(allSegs))
+	f.setExistingPath(ctx, ancestorsOf(pl, allSegs))
 
-	// Group leaf parts per node: several updates may land in one leaf, and
-	// each sub-unit must shadow-toggle exactly once per operation.
-	var writes []dataWrite
-	var changes []wordChange
-	leafRanges := make(map[*node][]rangeData)
-	var leafOrder []*node
-	for _, p := range parts {
-		if p.seg.n.leaf {
-			if _, ok := leafRanges[p.seg.n]; !ok {
-				leafOrder = append(leafOrder, p.seg.n)
-			}
-			leafRanges[p.seg.n] = append(leafRanges[p.seg.n], rangeData{p.seg.lo, p.seg.hi, p.data})
-		} else {
-			w, c, err := f.planInterior(ctx, p.seg, p.data)
-			if err != nil {
+	// Interior parts plan in part order; leaf parts are grouped per node,
+	// because several updates may land in one leaf and each sub-unit must
+	// shadow-toggle exactly once per operation. Leaves plan after every
+	// interior part, in the order each leaf first appears.
+	for _, p := range pl.parts {
+		if !p.seg.n.leaf {
+			if err := f.planInterior(ctx, pl, p.seg, p.data); err != nil {
 				fs.mlog.abandon(entry)
 				return 0, 0, err
 			}
-			writes = append(writes, w)
-			changes = append(changes, c)
+			continue
 		}
+		pl.leaves = append(pl.leaves, leafPart{n: p.seg.n,
+			r: rangeData{p.seg.lo, p.seg.hi, p.data}, seq: len(pl.leaves)})
 	}
-	for _, n := range leafOrder {
-		var err error
-		writes, changes, err = f.planLeafRanges(ctx, n, leafRanges[n], writes, changes)
-		if err != nil {
+	for _, g := range groupLeaves(pl) {
+		pl.ranges = pl.ranges[:0]
+		for _, lp := range pl.leaves[g.lo:g.hi] {
+			pl.ranges = append(pl.ranges, lp.r)
+		}
+		if err := f.planLeafRanges(ctx, pl, pl.leaves[g.lo].n, pl.ranges); err != nil {
 			fs.mlog.abandon(entry)
 			return 0, 0, err
 		}
 	}
-	for _, w := range writes {
+	for _, w := range pl.writes {
 		f.writeTo(ctx, w)
 	}
 	fs.dev.Fence(ctx)
@@ -176,7 +170,7 @@ func (f *file) writeMulti(ctx *sim.Ctx, updates []Update, acct bool) (int64, int
 	if maxEnd > newSize {
 		newSize = maxEnd
 	}
-	f.commitChanges(ctx, entry, lo, maxEnd-lo, newSize, changes)
+	f.commitChanges(ctx, pl, entry, lo, maxEnd-lo, newSize)
 
 	// Deferred unlock: SetSize persists the size word (a media op), and a
 	// crash-injection panic there must not leak sizeMu to other workers.
@@ -201,6 +195,25 @@ func (f *file) writeMulti(ctx *sim.Ctx, updates []Update, acct bool) (int64, int
 	return lo, maxEnd, nil
 }
 
-func sortSegments(segs []segment) {
-	sort.Slice(segs, func(i, j int) bool { return segs[i].lo < segs[j].lo })
+// groupLeaves sorts pl.leaves into one run per leaf node (parts of a run
+// keep their order) and returns the runs ordered by each leaf's first
+// appearance.
+func groupLeaves(pl *writePlan) []leafGroup {
+	lv := pl.leaves
+	slices.SortFunc(lv, func(a, b leafPart) int {
+		if c := cmp.Compare(a.n.offset(), b.n.offset()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	gs := pl.groups[:0]
+	for i := range lv {
+		if i == 0 || lv[i].n != lv[i-1].n {
+			gs = append(gs, leafGroup{lo: i, first: lv[i].seq})
+		}
+		gs[len(gs)-1].hi = i + 1
+	}
+	slices.SortFunc(gs, func(a, b leafGroup) int { return cmp.Compare(a.first, b.first) })
+	pl.groups = gs
+	return gs
 }

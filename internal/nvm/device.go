@@ -122,6 +122,34 @@ type Device struct {
 	crashOp     int64 // device-lifetime index of the torn media op (0 = none)
 	crashWorker int   // sim.Ctx.ID whose operation hit the fail point
 	onCrash     func(worker int, mediaOp int64)
+
+	// observe, when set, sees every completed store and fence (see
+	// ObserveStores).
+	observe func(op StoreOp, off int64, data []byte)
+}
+
+// StoreOp names a device operation reported to a store observer.
+type StoreOp uint8
+
+// Operations reported by ObserveStores.
+const (
+	OpWrite   StoreOp = iota + 1 // temporal store (data = the stored bytes)
+	OpWriteNT                    // non-temporal store (data = the stored bytes)
+	OpFlush                      // cache-line flush (data = the persisted range)
+	OpStore8                     // 8-byte atomic store (data = the stored word)
+	OpCAS8                       // successful compare-and-swap (data = the new word)
+	OpFence                      // fence (off = -1, data = nil)
+)
+
+// ObserveStores registers fn to be called, in issue order, after every
+// completed store, flush and fence. data is the device's own copy of the
+// affected range (the caller's buffer is never handed out, so registering an
+// observer cannot make callers' buffers escape to the heap) and is only
+// valid during the call. Tests use it to compare the exact device-op
+// sequence of two implementations. Set it before the device is shared
+// between goroutines; pass nil to clear.
+func (d *Device) ObserveStores(fn func(op StoreOp, off int64, data []byte)) {
+	d.observe = fn
 }
 
 // New creates a device of the given size (rounded up to a cache line) with
@@ -190,6 +218,9 @@ func (d *Device) Write(ctx *sim.Ctx, data []byte, off int64) {
 	copy(d.mem[off:off+int64(len(data))], data)
 	d.markDirty(off, len(data))
 	ctx.Advance(d.costs.DRAMCopyCost(len(data)))
+	if d.observe != nil {
+		d.observe(OpWrite, off, d.mem[off:off+int64(len(data))])
+	}
 }
 
 // WriteNT performs a non-temporal store: data is written to the durable image
@@ -218,6 +249,9 @@ func (d *Device) WriteNT(ctx *sim.Ctx, data []byte, off int64) {
 	}
 	ctx.Advance(d.costs.NVMWriteLat)
 	d.timeline.Reserve(ctx, d.costs.WriteCost(len(data))-d.costs.NVMWriteLat)
+	if d.observe != nil {
+		d.observe(OpWriteNT, off, d.durable[off:off+int64(len(data))])
+	}
 }
 
 // Flush persists all dirty cache lines intersecting [off, off+n), charging
@@ -264,6 +298,9 @@ func (d *Device) Flush(ctx *sim.Ctx, off int64, n int) int {
 	}
 	ctx.Advance(int64(len(lines)) * d.costs.CacheLineFlush)
 	d.timeline.Reserve(ctx, d.costs.WriteCost(nb)-d.costs.NVMWriteLat)
+	if d.observe != nil {
+		d.observe(OpFlush, off, d.durable[off:off+int64(n)])
+	}
 	return nb
 }
 
@@ -285,6 +322,9 @@ func (d *Device) Fence(ctx *sim.Ctx) {
 	}
 	d.stats.Fences.Add(1)
 	ctx.Advance(d.costs.Fence)
+	if d.observe != nil {
+		d.observe(OpFence, -1, nil)
+	}
 }
 
 // Persist is the common clwb-loop + sfence sequence (PMDK's pmem_persist).
@@ -320,6 +360,9 @@ func (d *Device) Store8(ctx *sim.Ctx, off int64, v uint64) {
 		ctx.Tally.WriteBytes.Add(8)
 	}
 	ctx.Advance(d.costs.NVMWriteLat)
+	if d.observe != nil {
+		d.observe(OpStore8, off, d.durable[off:off+8])
+	}
 }
 
 // CAS8 performs an atomic compare-and-swap on the 8-byte word at off,
@@ -343,6 +386,9 @@ func (d *Device) CAS8(ctx *sim.Ctx, off int64, old, new uint64) bool {
 		ctx.Tally.WriteBytes.Add(8)
 	}
 	ctx.Advance(d.costs.NVMWriteLat)
+	if d.observe != nil {
+		d.observe(OpCAS8, off, d.durable[off:off+8])
+	}
 	return true
 }
 
